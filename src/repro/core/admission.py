@@ -18,7 +18,13 @@ from typing import Mapping, Optional, Sequence
 
 from repro.errors import AdmissionError
 from repro.core.guarantees import probabilistic_guarantee
-from repro.core.mapping import ResourceMapping, compute_mapping, shifted_cdf
+from repro.core.mapping import (
+    MappingTrail,
+    PathQoSEstimate,
+    ResourceMapping,
+    compute_mapping,
+    shifted_cdf,
+)
 from repro.core.spec import StreamSpec
 from repro.monitoring.cdf import EmpiricalCDF
 
@@ -41,23 +47,37 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Admits stream sets against the current path distributions."""
+    """Admits stream sets against the current path distributions.
 
-    def __init__(self, tw: float = 1.0):
+    ``trail`` is the :class:`MappingTrail` its mappings reuse and extend
+    (a private one by default); sharing the serving scheduler's trail
+    lets the scheduler adopt the admission mapping instead of redoing it.
+    """
+
+    def __init__(self, tw: float = 1.0, trail: Optional[MappingTrail] = None):
         if tw <= 0:
             raise ValueError(f"tw must be positive, got {tw}")
         self.tw = tw
+        self.trail = trail if trail is not None else MappingTrail()
 
     def try_admit(
         self,
         specs: Sequence[StreamSpec],
         cdfs: Mapping[str, EmpiricalCDF],
+        qos: Optional[Mapping[str, PathQoSEstimate]] = None,
     ) -> AdmissionDecision:
-        """Attempt to admit all ``specs``; never raises on rejection."""
+        """Attempt to admit all ``specs``; never raises on rejection.
+
+        ``qos`` is the monitored RTT/loss per path, as the serving
+        scheduler maps with it (streams with ceilings only fit on paths
+        meeting them).
+        """
         try:
-            mapping = compute_mapping(specs, cdfs, self.tw)
+            mapping = compute_mapping(
+                specs, cdfs, self.tw, qos=qos, trail=self.trail
+            )
         except AdmissionError as exc:
-            return self._reject(specs, cdfs, exc)
+            return self._reject(specs, cdfs, qos, exc)
         return AdmissionDecision(
             admitted=True,
             mapping=mapping,
@@ -68,6 +88,7 @@ class AdmissionController:
         self,
         specs: Sequence[StreamSpec],
         cdfs: Mapping[str, EmpiricalCDF],
+        qos: Optional[Mapping[str, PathQoSEstimate]],
         exc: AdmissionError,
     ) -> AdmissionDecision:
         rejected = exc.stream_name
@@ -76,7 +97,9 @@ class AdmissionController:
         suggestion = None
         admitted_names: tuple[str, ...] = ()
         try:
-            partial = compute_mapping(others, cdfs, self.tw)
+            partial = compute_mapping(
+                others, cdfs, self.tw, qos=qos, trail=self.trail
+            )
             admitted_names = tuple(s.name for s in others)
             suggestion = self._best_offer(rejected_spec, cdfs, partial)
         except AdmissionError:

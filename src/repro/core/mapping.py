@@ -28,6 +28,7 @@ Mbps are already allocated, the residual distribution is
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from repro.core.guarantees import (
 from repro.core.spec import StreamSpec
 from repro.core.vectors import Schedule, build_schedule
 from repro.monitoring.cdf import EmpiricalCDF
+from repro.obs.context import NULL_OBS, Observability
 from repro.units import packets_per_window
 
 
@@ -137,16 +139,33 @@ def largest_remainder_split(total: int, fractions: Sequence[float]) -> list[int]
     return floors.tolist()
 
 
+def _rates_to_packets(
+    rates_mbps: Mapping[str, Mapping[str, float]],
+    packet_sizes: Mapping[str, int],
+    tw: float,
+) -> dict[str, dict[str, int]]:
+    """Integer packets per window from mapped rates (largest remainder)."""
+    packets: dict[str, dict[str, int]] = {}
+    for name, shares in rates_mbps.items():
+        total_rate = sum(shares.values())
+        if total_rate <= 0:
+            packets[name] = {}
+            continue
+        x_total = packets_per_window(total_rate, packet_sizes[name], tw)
+        paths = list(shares)
+        counts = largest_remainder_split(x_total, [shares[p] for p in paths])
+        packets[name] = {p: c for p, c in zip(paths, counts) if c > 0}
+    return packets
+
+
 @dataclass(frozen=True)
 class ResourceMapping:
     """The output of the mapping step.
 
     Attributes
     ----------
-    packets:
-        ``Tp_i^j``: stream name -> path name -> packets per window.
     rates_mbps:
-        The same shares expressed as rates.
+        Stream name -> path name -> mapped rate in Mbps.
     achieved_probability:
         Per guaranteed stream, the probability with which the mapping
         meets its requirement (Lemma 1, union-bounded when split).
@@ -155,13 +174,44 @@ class ResourceMapping:
         packets missing deadlines (Lemma 2).
     tw:
         Scheduling-window length used for packet conversion.
+    packet_sizes:
+        Stream name -> packet size in bytes, for packet conversion.
+    packets:
+        ``Tp_i^j``: stream name -> path name -> packets per window.
+        Converted from the rates on first read and memoised; only the
+        packet-level schedule and checkpoints read it.
     """
 
-    packets: dict[str, dict[str, int]]
     rates_mbps: dict[str, dict[str, float]]
     achieved_probability: dict[str, float] = field(default_factory=dict)
     achieved_violation_rate: dict[str, float] = field(default_factory=dict)
     tw: float = 1.0
+    packet_sizes: Mapping[str, int] = field(default_factory=dict, repr=False)
+
+    @classmethod
+    def from_packets(
+        cls,
+        packets: dict[str, dict[str, int]],
+        rates_mbps: dict[str, dict[str, float]],
+        achieved_probability: Optional[dict[str, float]] = None,
+        achieved_violation_rate: Optional[dict[str, float]] = None,
+        tw: float = 1.0,
+    ) -> "ResourceMapping":
+        """A mapping whose packet counts are given, not converted."""
+        mapping = cls(
+            rates_mbps=rates_mbps,
+            achieved_probability=achieved_probability or {},
+            achieved_violation_rate=achieved_violation_rate or {},
+            tw=tw,
+        )
+        # Seeds the cached_property slot (frozen dataclass: no setattr).
+        mapping.__dict__["packets"] = packets
+        return mapping
+
+    @cached_property
+    def packets(self) -> dict[str, dict[str, int]]:
+        """``Tp_i^j``: stream name -> path name -> packets per window."""
+        return _rates_to_packets(self.rates_mbps, self.packet_sizes, self.tw)
 
     def paths_of(self, stream: str) -> list[str]:
         """Paths carrying a non-null sub-stream of ``stream``."""
@@ -208,7 +258,8 @@ class ResourceMapping:
 
 
 class _ResidualMemo:
-    """Per-mapping-run cache of residual CDFs and Lemma-1 evaluations.
+    """Cache of residual CDFs and Lemma-1 evaluations over one set of
+    CDF snapshots (it lives on a :class:`MappingTrail`).
 
     Within one mapping run, ``allocated[p]`` changes only when a stream
     is placed on ``p``: every stream mapped in between re-derives the
@@ -253,16 +304,13 @@ class _ResidualMemo:
 
 def _map_probabilistic(
     spec: StreamSpec,
-    cdfs: Mapping[str, EmpiricalCDF],
     allocated: dict[str, float],
     path_order: Sequence[str],
-    memo: Optional[_ResidualMemo] = None,
+    memo: _ResidualMemo,
 ) -> tuple[dict[str, float], float]:
     """Map one guaranteed stream; returns (rate per path, achieved P)."""
     required = spec.required_mbps
     target_p = spec.probability
-    if memo is None:
-        memo = _ResidualMemo(cdfs)
     # --- single-path attempt -------------------------------------------
     feasible: list[tuple[float, str]] = []
     for p in path_order:
@@ -315,18 +363,15 @@ def _map_probabilistic(
 
 def _map_violation_bound(
     spec: StreamSpec,
-    cdfs: Mapping[str, EmpiricalCDF],
     allocated: dict[str, float],
     path_order: Sequence[str],
     tw: float,
+    memo: _ResidualMemo,
     chunks: int = 10,
-    memo: Optional[_ResidualMemo] = None,
 ) -> tuple[dict[str, float], float]:
     """Map one violation-bound stream; returns (rate per path, achieved bound)."""
     x_total = spec.packets_in_window(tw)
     bound = spec.max_violation_rate
-    if memo is None:
-        memo = _ResidualMemo(cdfs)
     residuals = {
         p: memo.residual(p, allocated[p]) for p in path_order
     }
@@ -448,8 +493,8 @@ def even_split_mapping(
                 1.0 - float(guarantees[p][i]) for p in path_order
             )
             achieved_p[spec.name] = max(0.0, 1.0 - misses)
-    return ResourceMapping(
-        packets=packets,
+    return ResourceMapping.from_packets(
+        packets,
         rates_mbps=rates,
         achieved_probability=achieved_p,
         tw=tw,
@@ -517,23 +562,96 @@ def best_effort_mapping(
         for p, r in shares.items():
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
-    packets: dict[str, dict[str, int]] = {}
-    by_name = {s.name: s for s in specs}
-    for name, shares in rates.items():
-        spec = by_name[name]
-        total_rate = sum(shares.values())
-        if total_rate <= 0:
-            packets[name] = {}
-            continue
-        x_total = packets_per_window(total_rate, spec.packet_size, tw)
-        paths = list(shares)
-        counts = largest_remainder_split(x_total, [shares[p] for p in paths])
-        packets[name] = {p: c for p, c in zip(paths, counts) if c > 0}
     return ResourceMapping(
-        packets=packets,
         rates_mbps=rates,
         achieved_probability=achieved_p,
         tw=tw,
+        packet_sizes={s.name: s.packet_size for s in specs},
+    )
+
+
+class MappingTrail:
+    """What the last mapping runs over one set of CDF snapshots left behind.
+
+    :func:`compute_mapping` places guaranteed streams one precedence
+    position at a time, and position *i*'s placement is a pure function
+    of the specs (and their eligible paths) at positions ``0..i``, the
+    path CDF snapshots and ``tw``.  The trail keeps, per position, the
+    spec, its eligible paths, its shares and achieved guarantee and the
+    per-path ``allocated`` state after it.  A later run over the *same*
+    snapshot objects and ``tw`` replays the longest unchanged prefix
+    from that record and places only the suffix; a run whose every
+    input matches the last complete run returns that run's mapping
+    object (it is *adopted*).  Both are exact: the replayed values are
+    the very floats a from-scratch run computes.
+
+    A fresh trail has no record, so ``compute_mapping`` without one is
+    the from-scratch mapping.  One trail is shared by whoever maps the
+    same overlay (admission control and the serving scheduler), so the
+    serving remap after an admission adopts the admission's mapping.
+    """
+
+    __slots__ = (
+        "_context",
+        "_memo",
+        "_steps",
+        "_done",
+        "_obs",
+        "adopted",
+        "reused",
+        "placed",
+    )
+
+    def __init__(self) -> None:
+        #: (tw, path names, CDF snapshot objects) the record is valid for.
+        self._context: Optional[tuple] = None
+        self._memo: Optional[_ResidualMemo] = None
+        #: Per precedence position: (spec, candidates, shares, achieved,
+        #: allocated after the position).
+        self._steps: list[tuple] = []
+        #: (context, key, mapping) of the last complete run.
+        self._done: Optional[tuple] = None
+        self._obs = NULL_OBS
+        #: What the last run did: adopted a mapping whole, and how many
+        #: precedence positions it replayed and placed.
+        self.adopted = False
+        self.reused = 0
+        self.placed = 0
+
+    def bind_observability(self, obs: Observability) -> None:
+        """Count runs into ``obs``'s ``mapping.*`` counters."""
+        self._obs = obs
+
+    def _enter(self, tw: float, cdfs: Mapping[str, EmpiricalCDF]) -> tuple:
+        """The run's context; drops the record if it was made for another."""
+        context = (tw, tuple(cdfs), tuple(cdfs.values()))
+        if not _same_context(self._context, context):
+            self._context = context
+            self._memo = _ResidualMemo(cdfs)
+            self._steps = []
+        return context
+
+    def _record(self, adopted: bool, reused: int, placed: int) -> None:
+        self.adopted = adopted
+        self.reused = reused
+        self.placed = placed
+        if self._obs.enabled:
+            metrics = self._obs.metrics
+            if adopted:
+                metrics.counter("mapping.adopted").inc()
+            else:
+                metrics.counter("mapping.computed").inc()
+                metrics.counter("mapping.prefix_positions_reused").inc(reused)
+                metrics.counter("mapping.positions_placed").inc(placed)
+
+
+def _same_context(a: Optional[tuple], b: tuple) -> bool:
+    """Same ``tw``, path order and CDF snapshot *objects*."""
+    return (
+        a is not None
+        and a[0] == b[0]
+        and a[1] == b[1]
+        and all(x is y for x, y in zip(a[2], b[2]))
     )
 
 
@@ -542,6 +660,7 @@ def compute_mapping(
     cdfs: Mapping[str, EmpiricalCDF],
     tw: float,
     qos: Mapping[str, PathQoSEstimate] | None = None,
+    trail: Optional[MappingTrail] = None,
 ) -> ResourceMapping:
     """Run the full utility-based resource-mapping step.
 
@@ -557,6 +676,10 @@ def compute_mapping(
         Optional monitored RTT/loss levels per path; streams with
         ``max_rtt_ms`` / ``max_loss_rate`` ceilings are only placed on
         paths meeting them.
+    trail:
+        The record of earlier runs to reuse (see :class:`MappingTrail`);
+        it is updated in place.  Without one the mapping starts from
+        scratch.  The result is the same either way.
 
     Raises
     ------
@@ -568,11 +691,9 @@ def compute_mapping(
         raise ConfigurationError(f"tw must be positive, got {tw}")
     if not cdfs:
         raise ConfigurationError("at least one path CDF is required")
+    if trail is None:
+        trail = MappingTrail()
     path_order = list(cdfs)
-    allocated = {p: 0.0 for p in path_order}
-    rates: dict[str, dict[str, float]] = {}
-    achieved_p: dict[str, float] = {}
-    achieved_v: dict[str, float] = {}
 
     # Precedence: probabilistic guarantees by P descending, then
     # violation-bound streams by tightest bound first; required rate breaks
@@ -592,52 +713,87 @@ def compute_mapping(
             )
     prob_keyed.sort()
     viol_keyed.sort()
-    prob_streams = [s for _, _, s in prob_keyed]
-    viol_streams = [s for _, _, s in viol_keyed]
-    def _candidates(spec: StreamSpec) -> list[str]:
-        candidates = eligible_paths(spec, path_order, qos)
-        if not candidates:
-            raise AdmissionError(
-                spec.name, "no path meets its RTT/loss ceilings"
-            )
-        return candidates
+    ordered = [s for _, _, s in prob_keyed] + [s for _, _, s in viol_keyed]
+    candidates = [eligible_paths(s, path_order, qos) for s in ordered]
+    elastic = [s for s in specs if s.elastic]
+    elastic_candidates = [eligible_paths(s, path_order, qos) for s in elastic]
+    packet_sizes = {s.name: s.packet_size for s in specs}
 
-    memo = _ResidualMemo(cdfs)
-    for spec in prob_streams:
-        shares, achieved = _map_probabilistic(
-            spec, cdfs, allocated, _candidates(spec), memo=memo
-        )
-        rates[spec.name] = shares
-        achieved_p[spec.name] = achieved
-        for p, r in shares.items():
-            allocated[p] += r
-    for spec in viol_streams:
-        shares, achieved = _map_violation_bound(
-            spec, cdfs, allocated, _candidates(spec), tw, memo=memo
-        )
-        rates[spec.name] = shares
-        achieved_v[spec.name] = achieved
-        for p, r in shares.items():
-            allocated[p] += r
+    context = trail._enter(tw, cdfs)
+    key = (ordered, candidates, elastic, elastic_candidates, packet_sizes)
+    done = trail._done
+    if done is not None and _same_context(done[0], context) and done[1] == key:
+        trail._record(True, 0, 0)
+        return done[2]
+
+    # Replay the unchanged precedence prefix, then place the rest.
+    steps = trail._steps
+    reused = 0
+    limit = min(len(steps), len(ordered))
+    while reused < limit:
+        spec, cands = steps[reused][:2]
+        s = ordered[reused]
+        if (spec is not s and spec != s) or cands != candidates[reused]:
+            break
+        reused += 1
+    del steps[reused:]
+    rates: dict[str, dict[str, float]] = {}
+    achieved_p: dict[str, float] = {}
+    achieved_v: dict[str, float] = {}
+    for spec, _, shares, achieved, _ in steps:
+        # Copies: the elastic pass below adds to a stream's dict in place.
+        rates[spec.name] = dict(shares)
+        if spec.max_violation_rate is not None:
+            achieved_v[spec.name] = achieved
+        else:
+            achieved_p[spec.name] = achieved
+    allocated = (
+        dict(steps[-1][4]) if steps else {p: 0.0 for p in path_order}
+    )
+
+    memo = trail._memo
+    try:
+        for position in range(reused, len(ordered)):
+            spec = ordered[position]
+            cands = candidates[position]
+            if not cands:
+                raise AdmissionError(
+                    spec.name, "no path meets its RTT/loss ceilings"
+                )
+            if spec.max_violation_rate is not None:
+                shares, achieved = _map_violation_bound(
+                    spec, allocated, cands, tw, memo
+                )
+                achieved_v[spec.name] = achieved
+            else:
+                shares, achieved = _map_probabilistic(
+                    spec, allocated, cands, memo
+                )
+                achieved_p[spec.name] = achieved
+            rates[spec.name] = dict(shares)
+            for p, r in shares.items():
+                allocated[p] += r
+            steps.append((spec, cands, shares, achieved, dict(allocated)))
+    except AdmissionError:
+        trail._record(False, reused, position - reused + 1)
+        raise
 
     # Elastic streams: divide leftover mean bandwidth by weight.  A stream
     # may be both guaranteed and elastic (video base + fill); its elastic
     # share is added on top of the guaranteed mapping above.
-    elastic = [s for s in specs if s.elastic]
     leftover = {
-        p: max(shifted_cdf(cdfs[p], allocated[p]).mean(), 0.0)
+        p: max(memo.residual(p, allocated[p]).mean(), 0.0)
         for p in path_order
     }
     total_leftover = sum(leftover.values())
     total_weight = sum(s.weight for s in elastic) if elastic else 0.0
-    for spec in elastic:
+    for spec, cands in zip(elastic, elastic_candidates):
         share_total = (
             total_leftover * spec.weight / total_weight if total_weight else 0.0
         )
-        candidates = eligible_paths(spec, path_order, qos)
-        eligible_leftover = sum(leftover[p] for p in candidates)
+        eligible_leftover = sum(leftover[p] for p in cands)
         shares = {}
-        for p in candidates:
+        for p in cands:
             frac = leftover[p] / eligible_leftover if eligible_leftover else 0.0
             r = share_total * frac
             if r > 1e-9:
@@ -647,28 +803,13 @@ def compute_mapping(
             prior[p] = prior.get(p, 0.0) + r
         rates[spec.name] = prior
 
-    # Convert rates to integer packets per window (largest remainder).
-    packets: dict[str, dict[str, int]] = {}
-    by_name = {s.name: s for s in specs}
-    for name, shares in rates.items():
-        spec = by_name[name]
-        total_rate = sum(shares.values())
-        if total_rate <= 0:
-            packets[name] = {}
-            continue
-        x_total = packets_per_window(total_rate, spec.packet_size, tw)
-        paths = list(shares)
-        counts = largest_remainder_split(
-            x_total, [shares[p] for p in paths]
-        )
-        packets[name] = {
-            p: c for p, c in zip(paths, counts) if c > 0
-        }
-
-    return ResourceMapping(
-        packets=packets,
+    mapping = ResourceMapping(
         rates_mbps=rates,
         achieved_probability=achieved_p,
         achieved_violation_rate=achieved_v,
         tw=tw,
+        packet_sizes=packet_sizes,
     )
+    trail._done = (context, key, mapping)
+    trail._record(False, reused, len(ordered) - reused)
+    return mapping

@@ -28,6 +28,7 @@ from repro.errors import AdmissionError, ConfigurationError
 from repro.obs.context import NULL_OBS, Observability
 from repro.obs.events import Category
 from repro.core.mapping import (
+    MappingTrail,
     PathQoSEstimate,
     ResourceMapping,
     best_effort_mapping,
@@ -37,6 +38,7 @@ from repro.core.mapping import (
 from repro.core.scheduler import PathShareRequest, SchedulerBase
 from repro.core.spec import StreamSpec
 from repro.core.vectors import Schedule
+from repro.monitoring.cdf import EmpiricalCDF
 from repro.monitoring.monitor import PathMonitor
 from repro.transport.packet import Packet
 from repro.transport.service import PathService
@@ -100,7 +102,13 @@ class PGOSScheduler(SchedulerBase):
         self._clock: Callable[[], float] = lambda: 0.0
         self.monitors: dict[str, PathMonitor] = {}
         self.mapping: Optional[ResourceMapping] = None
-        self.schedule: Optional[Schedule] = None
+        #: Record of recent mappings over the current CDF snapshots; an
+        #: admission controller sharing it lets remaps adopt its result.
+        self.trail = MappingTrail()
+        self._schedule: Optional[Schedule] = None
+        #: (mapping, streams, usable paths) captured at the last remap,
+        #: until :attr:`schedule` compiles them.
+        self._schedule_source: Optional[tuple] = None
         self.remap_count = 0
         #: True while serving with a stale or best-effort mapping because
         #: the workload is not admittable at its requested guarantees.
@@ -132,7 +140,8 @@ class PGOSScheduler(SchedulerBase):
             for p in self.path_names
         }
         self.mapping = None
-        self.schedule = None
+        self._schedule = None
+        self._schedule_source = None
         self.remap_count = 0
         self.quarantined = frozenset()
 
@@ -151,6 +160,7 @@ class PGOSScheduler(SchedulerBase):
         self._obs = obs
         if clock is not None:
             self._clock = clock
+        self.trail.bind_observability(obs)
         for monitor in self.monitors.values():
             monitor.bind_observability(self._obs, self._clock)
 
@@ -236,6 +246,33 @@ class PGOSScheduler(SchedulerBase):
         usable = [p for p in self.path_names if p not in self.quarantined]
         return usable or list(self.path_names)
 
+    def mapping_inputs(
+        self,
+    ) -> tuple[
+        list[str], dict[str, EmpiricalCDF], dict[str, PathQoSEstimate]
+    ]:
+        """The usable paths, their bandwidth CDFs and QoS estimates now.
+
+        Everything a mapping decision reads besides the stream specs:
+        admission control and :meth:`remap` both map from these, so a
+        stream set admitted at time *t* maps identically in the serving
+        remap at time *t*.
+        """
+        usable = self.usable_paths
+        cdfs = {p: self.monitors[p].cdf() for p in usable}
+        qos = {}
+        for p in usable:
+            monitor = self.monitors[p]
+            qos[p] = PathQoSEstimate(
+                rtt_ms=monitor.rtt_ms.predict() if monitor.rtt_ms.ready else None,
+                loss_rate=(
+                    monitor.loss_rate.predict()
+                    if monitor.loss_rate.ready
+                    else None
+                ),
+            )
+        return usable, cdfs, qos
+
     # ------------------------------------------------------------------
     # mapping maintenance (Figure 7, lines 1-11)
     # ------------------------------------------------------------------
@@ -268,17 +305,44 @@ class PGOSScheduler(SchedulerBase):
         """
         if self._needs_remap():
             self.remap()
-        if self.schedule is None:
+        schedule = self.schedule
+        if schedule is None:
             raise ConfigurationError(
                 "no schedule available (mapping kept a stale state?)"
             )
-        return self.schedule
+        return schedule
+
+    @property
+    def schedule(self) -> Optional[Schedule]:
+        """V_P / V_S of the last remap's mapping, compiled on first read.
+
+        Interval-mode delivery never reads the vectors, so a remap only
+        captures what compiling needs (the mapping, the stream set and
+        the usable paths of that moment); the packet transport's first
+        read compiles them.
+        """
+        source = self._schedule_source
+        if source is not None:
+            mapping, streams, usable = source
+            self._schedule = mapping.compile(
+                stream_order=_precedence(streams), path_order=usable
+            )
+            self._schedule_source = None
+        return self._schedule
+
+    def _capture_schedule(self, usable: list[str]) -> None:
+        self._schedule = None
+        self._schedule_source = (self.mapping, tuple(self.streams), usable)
 
     def remap(self) -> ResourceMapping:
         """Recompute the resource mapping from current CDFs.
 
-        Raises :class:`AdmissionError` if no feasible mapping exists *and*
-        no previous mapping can be kept.
+        A mapping whose inputs equal those of the last complete mapping
+        on :attr:`trail` (typically the admission decision that added
+        the stream) is adopted as is; otherwise the unchanged precedence
+        prefix is replayed from the trail.  Raises
+        :class:`AdmissionError` if no feasible mapping exists *and* no
+        previous mapping can be kept.
         """
         prof = self._obs.prof
         if prof.enabled:
@@ -287,25 +351,17 @@ class PGOSScheduler(SchedulerBase):
         return self._remap_inner()
 
     def _remap_inner(self) -> ResourceMapping:
-        usable = self.usable_paths
-        cdfs = {p: self.monitors[p].cdf() for p in usable}
-        qos = {}
-        for p in usable:
-            monitor = self.monitors[p]
-            qos[p] = PathQoSEstimate(
-                rtt_ms=monitor.rtt_ms.predict() if monitor.rtt_ms.ready else None,
-                loss_rate=(
-                    monitor.loss_rate.predict()
-                    if monitor.loss_rate.ready
-                    else None
-                ),
-            )
+        usable, cdfs, qos = self.mapping_inputs()
         self.degraded = False
+        adopted = False
         try:
             if self.split_strategy == "even":
                 mapping = even_split_mapping(self.streams, cdfs, self.tw)
             else:
-                mapping = compute_mapping(self.streams, cdfs, self.tw, qos=qos)
+                mapping = compute_mapping(
+                    self.streams, cdfs, self.tw, qos=qos, trail=self.trail
+                )
+                adopted = self.trail.adopted
         except AdmissionError:
             if self.mapping is not None:
                 # Keep serving with the stale mapping rather than dropping
@@ -320,9 +376,7 @@ class PGOSScheduler(SchedulerBase):
             self.degraded = True
             mapping = best_effort_mapping(self.streams, cdfs, self.tw, qos=qos)
         self.mapping = mapping
-        self.schedule = mapping.compile(
-            stream_order=self.stream_precedence(), path_order=usable
-        )
+        self._capture_schedule(usable)
         for monitor in self.monitors.values():
             monitor.mark_remapped()
         self.remap_count += 1
@@ -339,6 +393,7 @@ class PGOSScheduler(SchedulerBase):
                 # other layers join remap-scoped events on.
                 remap_id=self.remap_count,
                 degraded=self.degraded,
+                adopted=adopted,
                 strategy=self.split_strategy,
                 paths=list(usable),
                 quarantined=sorted(self.quarantined),
@@ -363,7 +418,8 @@ class PGOSScheduler(SchedulerBase):
         path, so a restored mapping must iterate identically for float
         sums to stay bit-identical.  The compiled :class:`Schedule` is
         not serialized — it is a pure function of the mapping, the stream
-        precedence, and the usable path order, and is recompiled on load.
+        precedence, and the usable path order, and is recompiled (on
+        first read) after a load.
         """
         mapping = self.mapping
         mapping_state = None
@@ -419,10 +475,11 @@ class PGOSScheduler(SchedulerBase):
         mapping_state = state["mapping"]
         if mapping_state is None:
             self.mapping = None
-            self.schedule = None
+            self._schedule = None
+            self._schedule_source = None
         else:
-            self.mapping = ResourceMapping(
-                packets={
+            self.mapping = ResourceMapping.from_packets(
+                {
                     s: {p: int(c) for p, c in d.items()}
                     for s, d in mapping_state["packets"].items()
                 },
@@ -443,21 +500,14 @@ class PGOSScheduler(SchedulerBase):
                 tw=float(mapping_state["tw"]),
             )
             # Quarantine and stream set cannot have drifted since the
-            # last remap (any change voids the mapping), so recompiling
+            # last remap (any change voids the mapping), so compiling
             # against the *current* precedence and usable paths rebuilds
             # the live schedule exactly.
-            self.schedule = self.mapping.compile(
-                stream_order=self.stream_precedence(),
-                path_order=self.usable_paths,
-            )
+            self._capture_schedule(self.usable_paths)
 
     def stream_precedence(self) -> list[str]:
         """Streams ordered most-important-first (for deadline tie-breaks)."""
-        def key(s: StreamSpec):
-            p = s.probability if s.probability is not None else -1.0
-            return (-p, -(s.required_mbps or 0.0), s.name)
-
-        return [s.name for s in sorted(self.streams, key=key)]
+        return _precedence(self.streams)
 
     # ------------------------------------------------------------------
     # interval-mode allocation (fluid rendering of the fast path)
@@ -559,6 +609,15 @@ class PGOSScheduler(SchedulerBase):
                     )
                 )
         return requests
+
+
+def _precedence(streams: Sequence[StreamSpec]) -> list[str]:
+    """Stream names most-important-first (for deadline tie-breaks)."""
+    def key(s: StreamSpec):
+        p = s.probability if s.probability is not None else -1.0
+        return (-p, -(s.required_mbps or 0.0), s.name)
+
+    return [s.name for s in sorted(streams, key=key)]
 
 
 # ----------------------------------------------------------------------

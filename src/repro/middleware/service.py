@@ -28,7 +28,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.errors import AdmissionError, CheckpointError, ConfigurationError
-from repro.core.admission import AdmissionController
+from repro.core.admission import AdmissionController, AdmissionDecision
 from repro.core.pgos import PGOSScheduler
 from repro.core.scheduler import water_fill
 from repro.core.spec import StreamSpec
@@ -186,10 +186,16 @@ class IQPathsService:
             1, int(round(metrics_snapshot_seconds / self.dt))
         )
         self.handles: dict[str, StreamHandle] = {}
+        #: The open handles, in ``handles`` order.
+        self._open: dict[str, StreamHandle] = {}
         self._delivered: dict[str, list[float]] = {}
         self._opened_interval: dict[str, int] = {}
         self._backlog_bytes: dict[str, float] = {}
-        self._admission = AdmissionController(tw=tw)
+        # Admission maps on the scheduler's trail, so the remap that
+        # installs an admitted stream adopts the admission mapping.
+        self._admission = AdmissionController(
+            tw=tw, trail=self.scheduler.trail
+        )
         self._pending: list[tuple[int, Callable[[], None]]] = []
         self.upcalls: list[str] = []
         #: Health transitions and degradation decisions, human-readable.
@@ -259,14 +265,6 @@ class IQPathsService:
         if self.campaign is None:
             return True
         return self.campaign.observed(path, self._session_time(k))
-
-    def _usable_paths(self) -> list[str]:
-        """Paths the mapping may use (all when health is off or all failed)."""
-        if self.health is None:
-            return list(self.path_names)
-        quarantined = self.health.quarantined()
-        usable = [p for p in self.path_names if p not in quarantined]
-        return usable or list(self.path_names)
 
     def _observe(self, k: int) -> None:
         if not self._scheduler_bound:
@@ -371,7 +369,14 @@ class IQPathsService:
             admitted=admitted,
             tenant=tenant,
         )
+        reopened = spec.name in self.handles
         self.handles[spec.name] = handle
+        if reopened:
+            # A reopened name keeps its first position in ``handles``;
+            # the open set follows that order.
+            self._open = {n: h for n, h in self.handles.items() if h.open}
+        else:
+            self._open[spec.name] = handle
         if self.obs.enabled:
             self.obs.metrics.counter("service.streams_opened").inc()
             self.obs.trace.emit(
@@ -401,6 +406,17 @@ class IQPathsService:
         ):
             self._refresh_degradation()
 
+    def _admit(self, specs: list[StreamSpec]) -> AdmissionDecision:
+        """Admission for the open streams plus ``specs``, on the inputs
+        the serving remap maps from (paths, CDFs and QoS)."""
+        open_specs = [self._original[name] for name in self._open] + specs
+        _, cdfs, qos = self.scheduler.mapping_inputs()
+        prof = self.obs.prof
+        if prof.enabled:
+            with prof.span("service.admission"):
+                return self._admission.try_admit(open_specs, cdfs, qos)
+        return self._admission.try_admit(open_specs, cdfs, qos)
+
     def open_stream(
         self, spec: StreamSpec, tenant: Optional[str] = None
     ) -> StreamHandle:
@@ -411,24 +427,11 @@ class IQPathsService:
         event, and on the per-tenant ``admission.*.tenant.<name>``
         metric counters (the workload engine's join key).
         """
-        if spec.name in self.handles and self.handles[spec.name].open:
+        if spec.name in self._open:
             raise ConfigurationError(f"stream {spec.name!r} already open")
         if not self._scheduler_bound:
             self._bind_scheduler(spec)
-        open_specs = [
-            self._original[h.name]
-            for h in self.handles.values()
-            if h.open
-        ] + [spec]
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("service.admission"):
-                decision = self._admission.try_admit(open_specs, cdfs)
-        else:
-            decision = self._admission.try_admit(open_specs, cdfs)
+        decision = self._admit([spec])
         self._next_stream_id += 1
         stream_id = self._next_stream_id
         self.obs.bind_stream(spec.name, stream_id)
@@ -478,26 +481,13 @@ class IQPathsService:
                     f"duplicate stream {spec.name!r} in batch"
                 )
             seen.add(spec.name)
-            if spec.name in self.handles and self.handles[spec.name].open:
+            if spec.name in self._open:
                 raise ConfigurationError(
                     f"stream {spec.name!r} already open"
                 )
         if not self._scheduler_bound:
             self._bind_scheduler(specs[0])
-        open_specs = [
-            self._original[h.name]
-            for h in self.handles.values()
-            if h.open
-        ] + specs
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
-        prof = self.obs.prof
-        if prof.enabled:
-            with prof.span("service.admission"):
-                decision = self._admission.try_admit(open_specs, cdfs)
-        else:
-            decision = self._admission.try_admit(open_specs, cdfs)
+        decision = self._admit(specs)
         if not decision.admitted and self.strict_admission:
             rejected = next(
                 (
@@ -546,6 +536,7 @@ class IQPathsService:
             self.scheduler.remove_stream(name)
             del self._serving[name]
         handle.closed_at = self.now
+        del self._open[name]
         self._original.pop(name, None)
         if self._vec is not None:
             self._vec.on_close(name)
@@ -577,22 +568,16 @@ class IQPathsService:
     # ------------------------------------------------------------------
     def _refresh_degradation(self) -> None:
         """Re-plan shedding/downgrades for the current path health."""
-        if self.health is None or not self._scheduler_bound:
+        if self.health is None or not self._scheduler_bound or not self._open:
             return
-        open_handles = [h for h in self.handles.values() if h.open]
-        if not open_handles:
-            return
-        quarantined = self.health.quarantined()
-        cdfs = {
-            p: self.scheduler.monitors[p].cdf() for p in self._usable_paths()
-        }
-        originals = [self._original[h.name] for h in open_handles]
+        _, cdfs, qos = self.scheduler.mapping_inputs()
         plan = plan_degradation(
-            originals,
+            [self._original[name] for name in self._open],
             cdfs,
             self.tw,
-            quarantine_active=bool(quarantined),
+            quarantine_active=bool(self.health.quarantined()),
             admission=self._admission,
+            qos=qos,
         )
         if plan == self._plan:
             return
@@ -622,13 +607,8 @@ class IQPathsService:
 
     def _apply_plan(self, plan: DegradationPlan) -> None:
         """Diff the scheduler's stream set against ``plan`` and apply."""
-        desired: dict[str, StreamSpec] = {}
-        for handle in self.handles.values():
-            if not handle.open:
-                continue
-            spec = plan.spec_for(handle.name)
-            if spec is not None:
-                desired[handle.name] = spec
+        serve = {spec.name: spec for spec in plan.serve}
+        desired = {name: serve[name] for name in self._open if name in serve}
         for name in list(self._serving):
             target = desired.get(name)
             if target is None:
@@ -670,9 +650,7 @@ class IQPathsService:
     def shed_streams(self) -> frozenset[str]:
         """Open streams currently paused by the degradation policy."""
         return frozenset(
-            h.name
-            for h in self.handles.values()
-            if h.open and h.name not in self._serving
+            name for name in self._open if name not in self._serving
         )
 
     # ------------------------------------------------------------------
@@ -716,7 +694,7 @@ class IQPathsService:
             self._update_health(k)
             self._k += 1
             return
-        open_handles = [h for h in self.handles.values() if h.open]
+        open_handles = list(self._open.values())
         if open_handles and self._scheduler_bound:
             prof = self.obs.prof
             if prof.enabled:
@@ -934,16 +912,12 @@ class IQPathsService:
             col = self._k - self._start_k
             batch = self._vec.batch
             return {
-                h.name: [
-                    float(v) for v in batch.history_array(h.name, col)
-                ]
-                for h in self.handles.values()
-                if h.open
+                name: [float(v) for v in batch.history_array(name, col)]
+                for name in self._open
             }
         return {
-            h.name: [float(v) for v in self._delivered[h.name]]
-            for h in self.handles.values()
-            if h.open
+            name: [float(v) for v in self._delivered[name]]
+            for name in self._open
         }
 
     def _backlog_state(self) -> dict[str, float]:
@@ -999,6 +973,7 @@ class IQPathsService:
                 # Closed streams restore with an empty record (see
                 # state_dict); reports for them are not reconstructable.
                 self._delivered[handle.name] = []
+        self._open = {n: h for n, h in self.handles.items() if h.open}
         self.upcalls = list(state["upcalls"])
         self.events = list(state["events"])
         self._original = {

@@ -175,11 +175,15 @@ class VectorizedDelivery:
             dt=service.dt,
             buffer_seconds=service.buffer_seconds,
         )
-        # Per-path compiled request slots, keyed by mapping identity:
-        # every event that voids requests (membership change, quarantine
-        # flip, CDF-shift remap) installs a fresh mapping object.
+        # Per-path compiled request slots, keyed by the remap that
+        # installed the mapping: every event that voids requests
+        # (membership change, quarantine flip, CDF-shift remap) ends in a
+        # remap.  The count matters, not just mapping identity: a remap
+        # can adopt the very mapping object it served before while the
+        # rows behind its stream names were recycled.
         self._templates: Optional[dict[str, _PathTemplate]] = None
         self._template_mapping: Optional[object] = None
+        self._template_remap = -1
         self._demand_rows: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
@@ -335,9 +339,11 @@ class VectorizedDelivery:
         if (
             self._templates is None
             or sched.mapping is not self._template_mapping
+            or sched.remap_count != self._template_remap
         ):
             self._templates = self._compile(fallback=False)
             self._template_mapping = sched.mapping
+            self._template_remap = sched.remap_count
         return self._templates
 
     # ------------------------------------------------------------------
